@@ -41,8 +41,8 @@ Three groups of measurements, all on the §5.7 workload (4096 distinct
   longest single install over 1000 swaps).  Recorded, not gated.
 * ``admission`` — the sketch-gated admission front-end: per-decision
   admit cost through both gate paths (count-min update vs the
-  known-elephant set probe), the exact-mode holdback ratio, and
-  off/exact/lossy ``ingest_batch()`` throughput on the uniform §5.7
+  known-elephant set probe) and off/lossy ``ingest_batch()``
+  throughput on the uniform §5.7
   workload (every source promotes within one batch) and on a
   spoofed-random-source workload (no source ever promotes — the shape
   the gate exists for).  The lossy spoofed rate is compared against
@@ -604,14 +604,13 @@ def bench_query(flow_count: int, repeats: int,
 
 
 def bench_admission(flow_count: int, repeats: int) -> dict:
-    """The admission front-end: gate cost, holdback, mode throughput.
+    """The admission front-end: gate cost and off/lossy throughput.
 
     Two workload shapes bracket the gate's behaviour: the uniform §5.7
     workload (4096 repeating sources — every group promotes on its
-    first batch, so exact/lossy pay only the elephant-set probe) and a
+    first batch, so the gate pays only the elephant-set probe) and a
     spoofed-random-source workload (every flow a distinct source —
-    nothing promotes, exact buffers everything, lossy refuses the trie
-    ingest entirely).  The lossy spoofed rate is the headline: it must
+    nothing promotes, lossy refuses the trie ingest entirely).  The lossy spoofed rate is the headline: it must
     beat the committed prebuilt-batch baseline, which was measured with
     no gate on the *friendly* uniform workload.
     """
@@ -633,8 +632,7 @@ def bench_admission(flow_count: int, repeats: int) -> dict:
     width = auto_sketch_width(flow_count)
     modes: dict[str, "AdmissionConfig | None"] = {
         "off": None,
-        "exact": AdmissionConfig(mode="exact", width=width),
-        "lossy": AdmissionConfig(mode="lossy", width=width),
+        "lossy": AdmissionConfig(width=width),
     }
 
     # per-decision admit cost, measured through filter_groups directly:
@@ -648,9 +646,7 @@ def bench_admission(flow_count: int, repeats: int) -> dict:
     ]
 
     def admit_sketch_path():
-        controller = AdmissionController(
-            AdmissionConfig(mode="lossy", width=width)
-        )
+        controller = AdmissionController(AdmissionConfig(width=width))
         filter_groups = controller.filter_groups
         for groups in group_dicts:
             filter_groups(4, groups)
@@ -658,7 +654,7 @@ def bench_admission(flow_count: int, repeats: int) -> dict:
     sketch_seconds = best_of(admit_sketch_path, repeats)
 
     herd_controller = AdmissionController(
-        AdmissionConfig(mode="lossy", promote_weight=0.5, width=width)
+        AdmissionConfig(promote_weight=0.5, width=width)
     )
     for groups in group_dicts:  # weight 1.0 >= 0.5: promotes every key
         herd_controller.filter_groups(4, groups)
@@ -692,32 +688,20 @@ def bench_admission(flow_count: int, repeats: int) -> dict:
 
             rates[mode_name] = len(flows) / best_of(ingest_all, repeats)
 
-        # holdback ratio: share of exact-mode gate decisions that
-        # buffered the group instead of passing it to the trie
-        probe = IPD(
-            sec57_params(),
-            admission=AdmissionConfig(mode="exact", width=width),
-        )
+        probe = IPD(sec57_params(), admission=modes["lossy"])
         for batch in batches:
             probe.ingest_batch(batch)
         assert probe.admission is not None
-        admitted, held, dropped, promoted = probe.admission.take_counters()
-        total = admitted + held + dropped
-        holdback = held / total if total else 0.0
+        __, __, promoted = probe.admission.take_counters()
 
         result[workload_name] = {
             "off_flows_per_second": round(rates["off"]),
-            "exact_flows_per_second": round(rates["exact"]),
             "lossy_flows_per_second": round(rates["lossy"]),
-            "exact_vs_off_ratio": round(rates["exact"] / rates["off"], 2),
             "lossy_vs_off_ratio": round(rates["lossy"] / rates["off"], 2),
-            "holdback_ratio": round(holdback, 4),
             "promoted_groups": promoted,
         }
         print(f"  admission {workload_name:<8} off={rates['off']:>12,.0f} "
-              f"exact={rates['exact']:>12,.0f} "
-              f"lossy={rates['lossy']:>12,.0f} flows/s  "
-              f"holdback={holdback:.2%}")
+              f"lossy={rates['lossy']:>12,.0f} flows/s")
 
     lossy_spoofed = result["spoofed"]["lossy_flows_per_second"]
     result["baseline_prebuilt_flows_per_second"] = SEED_BATCH_FLOWS_PER_SECOND
@@ -735,7 +719,7 @@ def bench_adversarial(repeats: int) -> dict:
 
     One downsized scenario per family, each with its pass criterion:
 
-    * **flood** — spoofed-source ingest throughput off/exact/lossy over
+    * **flood** — spoofed-source ingest throughput off/lossy over
       the attack-window slice of the flood trace (lossy must beat the
       benign twin's prebuilt-batch rate measured in the same run —
       frozen cross-machine constants would make the gate meaningless),
@@ -779,14 +763,8 @@ def bench_adversarial(repeats: int) -> dict:
     lo, hi = truth.attack_window
     window = [flow for flow in flows if lo <= flow.timestamp < hi]
     batches = list(iter_flow_batches(window, batch_size=65536))
-    lossy = AdmissionConfig.for_cardinality(truth.expected_sources, mode="lossy")
-    modes: dict = {
-        "off": None,
-        "exact": AdmissionConfig.for_cardinality(
-            truth.expected_sources, mode="exact"
-        ),
-        "lossy": lossy,
-    }
+    lossy = AdmissionConfig.for_cardinality(truth.expected_sources)
+    modes: dict = {"off": None, "lossy": lossy}
     rates = {}
     for mode_name, config in modes.items():
         def ingest_all():
@@ -826,7 +804,6 @@ def bench_adversarial(repeats: int) -> dict:
         "expected_sources": truth.expected_sources,
         "sketch_width": lossy.width,
         "off_flows_per_second": round(rates["off"]),
-        "exact_flows_per_second": round(rates["exact"]),
         "lossy_flows_per_second": round(rates["lossy"]),
         "benign_prebuilt_flows_per_second": round(benign_rate),
         "seed_prebuilt_flows_per_second": SEED_BATCH_FLOWS_PER_SECOND,
@@ -837,7 +814,6 @@ def bench_adversarial(repeats: int) -> dict:
         "state_blowup_lossy": round(blowup_lossy.factor, 2),
     }
     print(f"  adversarial flood   off={rates['off']:>12,.0f} "
-          f"exact={rates['exact']:>12,.0f} "
           f"lossy={rates['lossy']:>12,.0f} flows/s  "
           f"benign prebuilt={benign_rate:>12,.0f}")
     print(f"  adversarial flood   pollution off={pollution_off.pollution_rate:.2%} "

@@ -10,7 +10,7 @@ sweeps, at interactive speed:
 
 (``LivePipeline`` replaced the old ``ThreadedIPD``, which remains as a
 deprecated alias; the live runtime can also shard the address space with
-``shards=N, executor="threaded"|"mp"``.)
+``shards=N, executor="serial"|"mp"``.)
 
 Run:  python examples/live_pipeline.py
 """

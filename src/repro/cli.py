@@ -83,7 +83,6 @@ def _admission_from(
         # sketch unless the operator pinned a width explicitly
         return AdmissionConfig.for_cardinality(
             expected_sources,
-            mode=args.admission,
             promote_weight=args.admission_promote_weight,
             depth=args.admission_depth,
         )
@@ -91,7 +90,6 @@ def _admission_from(
     if args.admission_width is not None:
         kwargs["width"] = args.admission_width
     return AdmissionConfig(
-        mode=args.admission,
         promote_weight=args.admission_promote_weight,
         depth=args.admission_depth,
         **kwargs,
@@ -102,12 +100,12 @@ def _print_admission_counters(args: argparse.Namespace, result) -> None:
     if args.admission == "off":
         return
     admitted = sum(s.admission_admitted for s in result.sweeps)
-    held = sum(s.admission_held for s in result.sweeps)
     dropped = sum(s.admission_dropped for s in result.sweeps)
     promoted = sum(s.admission_promoted for s in result.sweeps)
     saturated = any(s.admission_saturated for s in result.sweeps)
-    print(f"admission ({args.admission}): admitted {admitted:,}  "
-          f"held {held:,}  dropped {dropped:,}  promoted {promoted:,}"
+    print(f"admission ({args.admission}): admitted {admitted:,} + "
+          f"dropped {dropped:,} = {admitted + dropped:,} flows  "
+          f"promoted {promoted:,} sources"
           + ("  [saturated]" if saturated else ""))
 
 
@@ -506,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="address-space shards (power of two); output is "
                           "identical to --shards 1, only throughput changes")
     run.add_argument("--workers", type=int, default=None,
-                     help="worker threads/processes for threaded/mp executors")
+                     help="worker processes for the mp executor")
     run.add_argument("--transport", choices=TRANSPORT_KINDS, default="pickle",
                      help="mp executor data plane: pickle-over-pipe or "
                           "zero-copy shared-memory rings")
@@ -522,12 +520,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="continue from the latest checkpoint in "
                           "--checkpoint-dir (replays the same flow CSV, "
                           "skipping already-processed rows)")
-    run.add_argument("--admission", choices=["off", "exact", "lossy"],
+    run.add_argument("--admission", choices=["off", "lossy"],
                      default="off",
-                     help="sketch-gated admission front-end: 'exact' holds "
-                          "mice back but replays them before each sweep "
-                          "(output identical to off), 'lossy' drops sources "
-                          "that never reach the promotion threshold")
+                     help="sketch-gated admission front-end: 'lossy' drops "
+                          "sources that never reach the promotion threshold")
     run.add_argument("--admission-promote-weight", type=float, default=4.0,
                      help="sketch estimate at which a source is promoted "
                           "to the elephant fast path")

@@ -1,7 +1,6 @@
 """IPD core: parameters, range trie, two-stage algorithm, LPM, output."""
 
 from .admission import (
-    ADMISSION_MODES,
     AdmissionConfig,
     AdmissionController,
     AdmissionImage,
@@ -39,7 +38,6 @@ from .statecodec import (
 )
 
 __all__ = [
-    "ADMISSION_MODES",
     "AdmissionConfig",
     "AdmissionController",
     "AdmissionImage",

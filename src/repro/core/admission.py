@@ -12,11 +12,9 @@ batch decode and trie ingest:
   (Jurkiewicz's mice/elephant boundary) are promoted to the *elephant
   set* and admitted directly — with a cached leaf handle that bypasses
   the trie lookup entirely on subsequent batches;
-* sub-threshold "mice" are **held back**: in ``exact`` mode they are
-  buffered and replayed before every sweep (byte-identical output to
-  running without admission); in ``lossy`` mode they are dropped and
-  only their sketch counts survive (bounded accuracy loss, measured on
-  the Fig. 6 benchmark).
+* sub-threshold "mice" are **dropped**: only their sketch counts
+  survive, so a source that keeps sending is promoted later (bounded
+  accuracy loss, measured on the Fig. 6 benchmark).
 
 Aging is wired to trace time (IPD001): the sketch halves on fixed
 ``age_seconds`` boundaries of the replayed clock, so a long-idle mouse
@@ -29,13 +27,21 @@ Saturation safety: a sketch can only ever *over*-estimate, so admission
 errors always fall toward admitting more.  When the sketch saturates —
 its fill ratio crosses ``max_fill``, or the ``sketch_saturate`` fault
 forces it — the controller degrades to admit-everything.  An elephant,
-once promoted, is never held or dropped again.
+once promoted, is never dropped again.
 
-The controller's state (sketch cells, elephant set, held groups, aging
-cursor) round-trips through a versioned wire section (``CODEC_VERSION``
-below, IPD004-pinned as ``admission:1``) appended to engine blobs by
+The admitted/dropped counters are in flows, so with admission on
+``admitted + dropped`` equals the flows ingested since the last drain;
+``promoted`` counts sources.
+
+The controller's state (sketch cells, elephant set, aging cursor)
+round-trips through a versioned wire section (``CODEC_VERSION`` below,
+IPD004-pinned as ``admission:2``) appended to engine blobs by
 :meth:`IPD.to_bytes`, so checkpoint/resume and reshard-on-restore carry
-admission state with the trie.
+admission state with the trie.  Version-1 sections still decode: a
+``lossy`` one restores as before, and one written by the retired
+``exact`` mode decodes to a :class:`RetiredExactSection` whose held
+groups the engine folds straight into its trie (exact mode's output
+always equalled admission off).
 """
 
 from __future__ import annotations
@@ -44,52 +50,41 @@ import math
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+
+import numpy as _np
 
 from ..devtools.markers import hot_path
 from ..topology.elements import IngressPoint
 from .statecodec import StateCodecError, _Reader, _Writer
 
-try:  # the vectorized lossy gate; the per-group path covers absence
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None  # type: ignore[assignment]
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..netflow.records import FlowBatch
     from .rangetree import RangeNode
 
 __all__ = [
-    "ADMISSION_MODES",
     "AdmissionConfig",
     "AdmissionController",
     "AdmissionImage",
     "CODEC_VERSION",
     "CountMinSketch",
+    "RetiredExactSection",
     "auto_sketch_width",
     "decode_admission",
     "encode_admission",
     "merge_admission_images",
 ]
 
-#: bump when the admission wire section changes; pinned as ``admission:1``
-CODEC_VERSION = 1
+#: bump when the admission wire section changes; pinned as ``admission:2``
+CODEC_VERSION = 2
 
 _MAGIC = b"IPDA"
 _KIND_ADMISSION = 0x41  # 'A'
 
 _FLAG_SATURATED = 1
-_FLAG_LOSSY = 2
+#: version 1 only: set for ``lossy`` sections, clear for ``exact`` ones
+_FLAG_V1_LOSSY = 2
 
 _MASK64 = (1 << 64) - 1
-
-#: the admission modes the runtime accepts (``off`` maps to no controller)
-ADMISSION_MODES = ("exact", "lossy")
-
-#: group slots, mirroring the ingest-path group layout
-_BY_INGRESS = 0
-_NEWEST = 1
-_OLDEST = 2
 
 
 def _splitmix64(value: int) -> int:
@@ -117,14 +112,13 @@ def _splitmix64_array(values: "object") -> "object":
 class AdmissionConfig:
     """Tuning knobs for the admission front-end.
 
-    ``mode`` selects the holdback semantics: ``"exact"`` buffers mice
-    and replays them before each sweep (byte-identical to no admission);
-    ``"lossy"`` drops them below the threshold.  ``promote_weight`` is
-    the sketch-estimate (flow count, or bytes with ``count_bytes``
-    params) at which a source is promoted to the elephant set.
+    ``promote_weight`` is the sketch estimate (flow count, or bytes with
+    ``count_bytes`` params) at which a source is promoted to the
+    elephant set; mice below it are dropped.  With flow weights,
+    ``promote_weight=1.0`` promotes every source on first sight, so the
+    gate drops nothing and its output equals admission off.
     """
 
-    mode: str = "exact"
     #: sketch estimate at which a source becomes an elephant
     promote_weight: float = 4.0
     #: cells per sketch row (rounded up to a power of two)
@@ -140,11 +134,6 @@ class AdmissionConfig:
     max_fill: float = 0.9
 
     def __post_init__(self) -> None:
-        if self.mode not in ADMISSION_MODES:
-            raise ValueError(
-                f"unknown admission mode {self.mode!r}; "
-                f"expected one of {ADMISSION_MODES}"
-            )
         if self.width < 1 or self.depth < 1:
             raise ValueError("sketch width and depth must be >= 1")
         if self.promote_weight <= 0.0:
@@ -159,7 +148,6 @@ class AdmissionConfig:
         cls,
         distinct_sources: int,
         *,
-        mode: str = "lossy",
         width: Optional[int] = None,
         promote_weight: float = 4.0,
         depth: int = 4,
@@ -176,7 +164,6 @@ class AdmissionConfig:
         if width is None:
             width = auto_sketch_width(distinct_sources, max_fill=max_fill)
         return cls(
-            mode=mode,
             promote_weight=promote_weight,
             width=width,
             depth=depth,
@@ -285,19 +272,15 @@ class CountMinSketch:
         return estimate
 
     def halve(self) -> None:
-        """Age every cell by half; cells below one count reset to zero."""
-        cells = self.cells
-        fill = 0
-        for index, value in enumerate(cells):
-            if value == 0.0:
-                continue
-            value *= 0.5
-            if value < 0.5:
-                value = 0.0
-            else:
-                fill += 1
-            cells[index] = value
-        self.fill = fill
+        """Age every cell by half; cells that drop below 0.5 reset to zero.
+
+        Runs in place on a numpy view of the cell buffer; the result is
+        bit-identical to halving each cell in a Python loop.
+        """
+        cells = _np.frombuffer(self.cells, dtype=_np.float64)
+        cells *= 0.5
+        cells[cells < 0.5] = 0.0
+        self.fill = int(_np.count_nonzero(cells))
 
     def clear(self) -> None:
         """Drop all counts (used when aging skips many intervals)."""
@@ -358,12 +341,9 @@ class CountMinSketch:
 class AdmissionImage:
     """Codec-neutral snapshot of a controller's state.
 
-    ``sketches`` holds the sparse nonzero cells per address family;
-    ``held`` keeps the exact-mode holdback groups in their chronological
-    insertion order (the replay order byte-identity depends on).
+    ``sketches`` holds the sparse nonzero cells per address family.
     """
 
-    mode: str
     promote_weight: float
     width: int
     depth: int
@@ -377,13 +357,10 @@ class AdmissionImage:
     sketches: dict[int, list] = field(default_factory=dict)
     #: version -> [masked ip, ...]
     elephants: dict[int, list] = field(default_factory=dict)
-    #: version -> {masked: [{ingress: weight}, newest, oldest]}
-    held: dict[int, dict[int, list]] = field(default_factory=dict)
 
     def config(self) -> AdmissionConfig:
         """The :class:`AdmissionConfig` this state was produced under."""
         return AdmissionConfig(
-            mode=self.mode,
             promote_weight=self.promote_weight,
             width=self.width,
             depth=self.depth,
@@ -393,21 +370,33 @@ class AdmissionImage:
         )
 
 
-class AdmissionController:
-    """Per-engine admission state: sketch, elephant set, holdback buffer.
+@dataclass
+class RetiredExactSection:
+    """A version-1 admission section written by the retired ``exact`` mode.
 
-    One controller fronts one engine's ingest path.  The engine calls
-    :meth:`filter_groups` on every pre-grouped batch; held groups are
-    drained and replayed by the engine before each sweep (and before
-    snapshots), which is what keeps ``exact`` mode byte-identical.
+    Exact mode held mice back and replayed them before every sweep, so
+    its output always equalled admission off.  Such a section restores
+    as an admission-off engine: ``held`` (version -> ``{masked:
+    [{ingress: weight}, newest, oldest]}``, in insertion order) are the
+    groups it was still holding, which the engine folds straight into
+    its trie.
+    """
+
+    held: dict[int, dict[int, list]] = field(default_factory=dict)
+
+
+class AdmissionController:
+    """Per-engine admission state: sketch, elephant set, leaf handles.
+
+    One controller fronts one engine's ingest path.  The engine runs
+    :meth:`prefilter_rows` on raw batch columns and :meth:`filter_groups`
+    on every pre-grouped batch; only the admitted groups reach the trie.
     """
 
     def __init__(self, config: AdmissionConfig) -> None:
         self.config = config
-        self.exact = config.mode == "exact"
         self._sketches: dict[int, CountMinSketch] = {}
         self._elephants: dict[int, set[int]] = {}
-        self._held: dict[int, dict[int, list]] = {}
         self._handles: dict[int, dict[int, "RangeNode"]] = {}
         # lazily rebuilt sorted-ndarray mirror of each elephant set,
         # keyed by version, cached as (herd size, array) — promotions
@@ -415,9 +404,9 @@ class AdmissionController:
         self._herd_arrays: dict[int, "tuple[int, object]"] = {}
         self._age_boundary: Optional[int] = None
         self._saturated = False
-        # decision counters since the last take_counters() drain
+        # decision counters since the last take_counters() drain:
+        # admitted and dropped in flows, promoted in sources
         self.admitted = 0
-        self.held_back = 0
         self.dropped = 0
         self.promoted = 0
 
@@ -447,14 +436,6 @@ class AdmissionController:
             handles = {}
             self._handles[version] = handles
         return handles
-
-    def held(self, version: int) -> dict[int, list]:
-        """The per-family holdback buffer (exact mode)."""
-        held = self._held.get(version)
-        if held is None:
-            held = {}
-            self._held[version] = held
-        return held
 
     @property
     def saturated(self) -> bool:
@@ -498,10 +479,9 @@ class AdmissionController:
         never pays any Python-level per-flow work: the whole batch is
         masked, sketch-counted and thresholded as ndarray operations,
         and only the surviving row indices are returned for grouping.
-        Returns ``None`` to admit every row — exact mode (the holdback
-        buffer needs the groups), saturation, numpy unavailable, or a
-        mask shift ≥ 64 bits (v6 keys exceed uint64; those batches take
-        the per-group path).
+        Returns ``None`` to admit every row — saturation, or a mask
+        shift ≥ 64 bits (v6 keys exceed uint64; those batches take the
+        per-group path).  Dropped rows are counted here, in flows.
 
         Decision semantics match :meth:`filter_groups` on the same
         batch: weights fold into the same seeded cells (integer-valued,
@@ -511,7 +491,7 @@ class AdmissionController:
         Promoted sources join the shared elephant set, so the group
         path's herd fast-path and cached leaf handles pick them up.
         """
-        if _np is None or self.exact or shift >= 64 or self.saturated:
+        if shift >= 64 or self.saturated:
             return None
         try:
             raw = _np.array(sources, dtype=_np.uint64)
@@ -586,101 +566,59 @@ class AdmissionController:
 
     @hot_path
     def filter_groups(
-        self, version: int, groups: "dict[int, list]"
+        self,
+        version: int,
+        groups: "dict[int, list]",
+        flows: Optional[int] = None,
+        rows: "Iterable[int]" = (),
     ) -> "dict[int, list]":
         """Gate pre-grouped samples; returns the admitted subset.
 
         Each group is ``masked -> [by_ingress, newest, oldest]`` exactly
         as built by the engine's batch grouping pass.  Elephants pass
         straight through; unknown sources update the sketch and are
-        promoted, held (exact) or dropped (lossy).  On promotion any
-        held history for the source is folded into the admitted group so
-        no sample is lost.
+        promoted (admitted) or dropped.  A saturated controller admits
+        every group.
+
+        The admitted/dropped counters are in flows: *flows* is how many
+        flows the groups were built from and *rows* yields the masked
+        source of each of them (default: one flow per group).  *rows* is
+        walked only when the gate drops a group, so a batch whose groups
+        all pass costs no extra pass.
         """
         if self.saturated:
-            return self._admit_everything(version, groups)
-        config = self.config
-        threshold = config.promote_weight
-        exact = self.exact
-        herd = self.elephants(version)
-        held = self.held(version)
-        sketch = self.sketch(version)
-        sketch_add = sketch.add
-        held_get = held.get
-        admitted: dict[int, list] = {}
-        n_admitted = 0
-        n_held = 0
-        n_dropped = 0
-        n_promoted = 0
-        for masked, group in groups.items():
-            if masked in herd:
-                admitted[masked] = group
-                n_admitted += 1
-                continue
-            by_ingress = group[_BY_INGRESS]
-            weight = 0.0
-            for value in by_ingress.values():
-                weight += value
-            estimate = sketch_add(masked, weight)
-            if estimate >= threshold:
-                herd.add(masked)
-                n_promoted += 1
-                pending = held_get(masked)
-                if pending is not None:
-                    del held[masked]
-                    _merge_group_into(pending, group)
-                    group = pending
-                admitted[masked] = group
-                n_admitted += 1
-            elif exact:
-                pending = held_get(masked)
-                if pending is None:
-                    held[masked] = group
-                else:
-                    _merge_group_into(pending, group)
-                n_held += 1
-            else:
-                n_dropped += 1
-        self.admitted += n_admitted
-        self.held_back += n_held
-        self.dropped += n_dropped
-        self.promoted += n_promoted
-        return admitted
-
-    def _admit_everything(
-        self, version: int, groups: "dict[int, list]"
-    ) -> "dict[int, list]":
-        """Saturation fallback: admit all groups, folding in held history.
-
-        The degraded mode must never *lose* relative to admission-off:
-        every group passes through, and a held mouse's buffered samples
-        ride along with its next appearance.
-        """
-        held = self.held(version)
-        if held:
+            admitted = groups
+        else:
+            threshold = self.config.promote_weight
+            herd = self.elephants(version)
+            sketch_add = self.sketch(version).add
+            admitted = {}
+            n_promoted = 0
             for masked, group in groups.items():
-                pending = held.get(masked)
-                if pending is not None:
-                    del held[masked]
-                    _merge_group_into(pending, group)
-                    groups[masked] = pending
-        self.admitted += len(groups)
-        return groups
-
-    def drain_held(self, version: int) -> dict[int, list]:
-        """Detach and return the holdback buffer for replay."""
-        held = self._held.get(version)
-        if not held:
-            return {}
-        self._held[version] = {}
-        return held
-
-    def has_held(self) -> bool:
-        """True when any family has buffered holdback groups."""
-        for held in self._held.values():
-            if held:
-                return True
-        return False
+                if masked in herd:
+                    admitted[masked] = group
+                    continue
+                weight = 0.0
+                for value in group[0].values():
+                    weight += value
+                if sketch_add(masked, weight) >= threshold:
+                    herd.add(masked)
+                    n_promoted += 1
+                    admitted[masked] = group
+            self.promoted += n_promoted
+        if flows is None:
+            flows = len(groups)
+            rows = groups
+        if len(admitted) == len(groups):
+            self.admitted += flows
+            return admitted
+        kept = 0
+        for masked in rows:
+            if masked in admitted:
+                kept += 1
+        self.admitted += kept
+        self.dropped += flows - kept
+        return admitted
 
     # ------------------------------------------------------------------ aging
 
@@ -706,55 +644,13 @@ class AdmissionController:
                 sketch.halve()
         return steps
 
-    def take_counters(self) -> tuple[int, int, int, int]:
-        """Drain the (admitted, held, dropped, promoted) decision counters."""
-        counters = (self.admitted, self.held_back, self.dropped, self.promoted)
+    def take_counters(self) -> tuple[int, int, int]:
+        """Drain the (admitted flows, dropped flows, promoted sources) counters."""
+        counters = (self.admitted, self.dropped, self.promoted)
         self.admitted = 0
-        self.held_back = 0
         self.dropped = 0
         self.promoted = 0
         return counters
-
-    # ------------------------------------------------------------------ batch split
-
-    def partition_batch(
-        self, batch: "FlowBatch", cidr_max: int
-    ) -> "tuple[FlowBatch, FlowBatch]":
-        """Split a columnar batch into (admitted, held) row views.
-
-        The pre-trie form of :meth:`filter_groups` for callers that gate
-        whole batches (benchmarks, external pre-filters): rows whose
-        masked source is — or becomes — an elephant land in the admitted
-        batch, the rest in the held batch.  Row order is preserved and
-        the split reuses the batch columns without copying row payloads
-        (:meth:`FlowBatch.select`).  Unlike :meth:`filter_groups` this
-        does not buffer holdback state; the held view is returned to the
-        caller instead.
-        """
-        version = batch.version
-        shift = (128 if version == 6 else 32) - cidr_max
-        herd = self.elephants(version)
-        sketch = self.sketch(version)
-        threshold = self.config.promote_weight
-        saturated = self.saturated
-        admitted_rows: list[int] = []
-        held_rows: list[int] = []
-        admitted_append = admitted_rows.append
-        held_append = held_rows.append
-        for row, src in enumerate(batch.src_ips):
-            masked = (src >> shift) << shift
-            if saturated or masked in herd:
-                admitted_append(row)
-                continue
-            if sketch.add(masked, 1.0) >= threshold:
-                herd.add(masked)
-                self.promoted += 1
-                admitted_append(row)
-            else:
-                held_append(row)
-        self.admitted += len(admitted_rows)
-        self.held_back += len(held_rows)
-        return batch.select(admitted_rows), batch.select(held_rows)
 
     # ------------------------------------------------------------------ state io
 
@@ -762,7 +658,6 @@ class AdmissionController:
         """Snapshot the controller state as a codec-neutral image."""
         config = self.config
         return AdmissionImage(
-            mode=config.mode,
             promote_weight=config.promote_weight,
             width=config.width,
             depth=config.depth,
@@ -781,14 +676,6 @@ class AdmissionController:
                 for version, herd in self._elephants.items()
                 if herd
             },
-            held={
-                version: {
-                    masked: [dict(group[_BY_INGRESS]), group[_NEWEST], group[_OLDEST]]
-                    for masked, group in held.items()
-                }
-                for version, held in self._held.items()
-                if held
-            },
         )
 
     @classmethod
@@ -801,10 +688,6 @@ class AdmissionController:
             controller.sketch(version).load_sparse(pairs)
         for version, herd in image.elephants.items():
             controller.elephants(version).update(herd)
-        for version, held in image.held.items():
-            buffer = controller.held(version)
-            for masked, group in held.items():
-                buffer[masked] = [dict(group[_BY_INGRESS]), group[_NEWEST], group[_OLDEST]]
         return controller
 
     def to_bytes(self) -> bytes:
@@ -812,26 +695,8 @@ class AdmissionController:
         return encode_admission(self.to_image())
 
 
-def _merge_group_into(target: list, extra: list) -> None:
-    """Fold *extra*'s per-ingress weights and time bounds into *target*.
-
-    *target* is the chronologically older group, so insertion order of
-    newly seen ingresses matches the order a single unheld stream would
-    have produced — the property exact-mode byte-identity rides on.
-    """
-    by_ingress = target[_BY_INGRESS]
-    get = by_ingress.get
-    for ingress, weight in extra[_BY_INGRESS].items():
-        previous = get(ingress)
-        by_ingress[ingress] = weight if previous is None else previous + weight
-    if extra[_NEWEST] > target[_NEWEST]:
-        target[_NEWEST] = extra[_NEWEST]
-    if extra[_OLDEST] < target[_OLDEST]:
-        target[_OLDEST] = extra[_OLDEST]
-
-
 # ---------------------------------------------------------------------------
-# wire section (appended to engine blobs; pinned as admission:1)
+# wire section (appended to engine blobs; pinned as admission:2)
 # ---------------------------------------------------------------------------
 
 
@@ -841,12 +706,7 @@ def encode_admission(image: AdmissionImage) -> bytes:
     writer.raw(_MAGIC)
     writer.byte(_KIND_ADMISSION)
     writer.byte(CODEC_VERSION)
-    flags = 0
-    if image.saturated:
-        flags |= _FLAG_SATURATED
-    if image.mode == "lossy":
-        flags |= _FLAG_LOSSY
-    writer.byte(flags)
+    writer.byte(_FLAG_SATURATED if image.saturated else 0)
     writer.float(image.promote_weight)
     writer.uvarint(image.width)
     writer.uvarint(image.depth)
@@ -873,25 +733,18 @@ def encode_admission(image: AdmissionImage) -> bytes:
         writer.uvarint(len(herd))
         for masked in herd:
             writer.uvarint(masked)
-    writer.uvarint(len(image.held))
-    for version in sorted(image.held):
-        held = image.held[version]
-        writer.byte(version)
-        writer.uvarint(len(held))
-        for masked, group in held.items():
-            writer.uvarint(masked)
-            writer.float(group[_NEWEST])
-            writer.float(group[_OLDEST])
-            by_ingress = group[_BY_INGRESS]
-            writer.uvarint(len(by_ingress))
-            for ingress, weight in by_ingress.items():
-                writer.ingress(ingress)
-                writer.float(weight)
     return bytes(writer.buffer)
 
 
-def decode_admission(data: "bytes | bytearray | memoryview") -> AdmissionImage:
-    """Parse an admission section back into an :class:`AdmissionImage`."""
+def decode_admission(
+    data: "bytes | bytearray | memoryview",
+) -> "AdmissionImage | RetiredExactSection":
+    """Parse an admission section.
+
+    Version 2 and version-1 ``lossy`` sections decode to an
+    :class:`AdmissionImage`; a version-1 section of the retired
+    ``exact`` mode decodes to a :class:`RetiredExactSection`.
+    """
     reader = _Reader(data)
     with _admission_damage_reported(reader):
         if len(data) < 5 or bytes(data[:4]) != _MAGIC:
@@ -903,7 +756,7 @@ def decode_admission(data: "bytes | bytearray | memoryview") -> AdmissionImage:
                 f"unexpected admission section kind {kind:#x}"
             )
         version = reader.byte()
-        if version > CODEC_VERSION:
+        if not 1 <= version <= CODEC_VERSION:
             raise StateCodecError(
                 f"admission section uses codec version {version}; this "
                 f"build reads up to {CODEC_VERSION}"
@@ -929,22 +782,16 @@ def decode_admission(data: "bytes | bytearray | memoryview") -> AdmissionImage:
             elephants[family] = [
                 reader.uvarint() for __ in range(reader.uvarint())
             ]
-        held: dict[int, dict[int, list]] = {}
-        for __ in range(reader.uvarint()):
-            family = reader.byte()
-            groups: dict[int, list] = {}
-            for __ in range(reader.uvarint()):
-                masked = reader.uvarint()
-                newest = reader.float()
-                oldest = reader.float()
-                by_ingress: dict[IngressPoint, float] = {}
-                for __ in range(reader.uvarint()):
-                    ingress = reader.ingress()
-                    by_ingress[ingress] = reader.float()
-                groups[masked] = [by_ingress, newest, oldest]
-            held[family] = groups
+        if version == 1:
+            held = _read_v1_held(reader)
+            if not flags & _FLAG_V1_LOSSY:
+                return RetiredExactSection(held)
+            if held:
+                # lossy mode dropped mice instead of holding them
+                raise StateCodecError(
+                    "version-1 lossy admission section carries held groups"
+                )
         return AdmissionImage(
-            mode="lossy" if flags & _FLAG_LOSSY else "exact",
             promote_weight=promote_weight,
             width=width,
             depth=depth,
@@ -955,8 +802,26 @@ def decode_admission(data: "bytes | bytearray | memoryview") -> AdmissionImage:
             saturated=bool(flags & _FLAG_SATURATED),
             sketches=sketches,
             elephants=elephants,
-            held=held,
         )
+
+
+def _read_v1_held(reader: _Reader) -> dict[int, dict[int, list]]:
+    """The version-1 held-group list: version -> {masked: group}."""
+    held: dict[int, dict[int, list]] = {}
+    for __ in range(reader.uvarint()):
+        family = reader.byte()
+        groups: dict[int, list] = {}
+        for __ in range(reader.uvarint()):
+            masked = reader.uvarint()
+            newest = reader.float()
+            oldest = reader.float()
+            by_ingress: dict[IngressPoint, float] = {}
+            for __ in range(reader.uvarint()):
+                ingress = reader.ingress()
+                by_ingress[ingress] = reader.float()
+            groups[masked] = [by_ingress, newest, oldest]
+        held[family] = groups
+    return held
 
 
 def merge_admission_images(
@@ -965,9 +830,8 @@ def merge_admission_images(
     """Merge per-shard admission images into one engine-wide image.
 
     Sketches add cellwise (identical geometry/seed required — shards are
-    always built from one config), elephant sets union, held groups
-    union (address-space sharding makes their key sets disjoint), and
-    saturation is sticky across the fleet.  Over-counting from the merge
+    always built from one config), elephant sets union, and saturation
+    is sticky across the fleet.  Over-counting from the merge
     only ever admits *more*, which is the safe direction.
     """
     images = [image for image in images if image is not None]
@@ -976,7 +840,6 @@ def merge_admission_images(
     first = images[0]
     merged_sketches: dict[int, CountMinSketch] = {}
     merged_elephants: dict[int, set[int]] = {}
-    merged_held: dict[int, dict[int, list]] = {}
     saturated = False
     age_boundary: Optional[int] = None
     for image in images:
@@ -984,7 +847,6 @@ def merge_admission_images(
             image.width != first.width
             or image.depth != first.depth
             or image.seed != first.seed
-            or image.mode != first.mode
         ):
             raise StateCodecError(
                 "cannot merge admission images with different configs"
@@ -1006,18 +868,7 @@ def merge_admission_images(
             sketch.merge(incoming)
         for version, herd in image.elephants.items():
             merged_elephants.setdefault(version, set()).update(herd)
-        for version, held in image.held.items():
-            target = merged_held.setdefault(version, {})
-            for masked, group in held.items():
-                pending = target.get(masked)
-                if pending is None:
-                    target[masked] = [
-                        dict(group[_BY_INGRESS]), group[_NEWEST], group[_OLDEST]
-                    ]
-                else:
-                    _merge_group_into(pending, group)
     return AdmissionImage(
-        mode=first.mode,
         promote_weight=first.promote_weight,
         width=first.width,
         depth=first.depth,
@@ -1034,7 +885,6 @@ def merge_admission_images(
             version: sorted(herd)
             for version, herd in merged_elephants.items()
         },
-        held=merged_held,
     )
 
 

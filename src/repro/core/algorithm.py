@@ -44,6 +44,7 @@ from ..topology.elements import IngressPoint
 from .admission import (
     AdmissionConfig,
     AdmissionController,
+    RetiredExactSection,
     decode_admission,
     encode_admission,
 )
@@ -95,8 +96,11 @@ class SweepReport:
     cache_misses: int = 0
     cache_evictions: int = 0
     #: admission front-end decisions since the previous sweep (all zero
-    #: when no admission controller is attached)
+    #: when no admission controller is attached): admitted + dropped
+    #: flows equal the flows ingested, promoted counts sources
     admission_admitted: int = 0
+    #: always 0: the gate holds nothing back since the retired ``exact``
+    #: mode; kept so readers of the report field keep working
     admission_held: int = 0
     admission_dropped: int = 0
     admission_promoted: int = 0
@@ -163,7 +167,7 @@ class IPD:
         leaves and produces the same report this engine's would have.
 
         With an admission front-end attached, its state (sketch cells,
-        elephant set, held groups) is appended as a self-delimiting
+        elephant set, aging cursor) is appended as a self-delimiting
         trailing section; admission-off blobs are byte-identical to
         what this method always produced.
         """
@@ -219,19 +223,28 @@ class IPD:
         custom decay function (callables do not serialize).  When the
         blob carries a trailing admission section, the controller is
         restored from it and *admission* is ignored; otherwise
-        *admission* (a config or fresh controller) attaches one.
+        *admission* (a config or fresh controller) attaches one.  A
+        version-1 section of the retired ``exact`` mode restores as an
+        admission-off engine with its held groups folded into the trie,
+        as exact mode's next sweep would have done.
         """
         image, consumed = decode_engine_span(data, params=params)
+        held: dict[int, dict[int, list]] = {}
         if consumed < len(data):
-            admission = AdmissionController.from_image(
-                decode_admission(memoryview(data)[consumed:])
-            )
-        return cls.from_image(
+            section = decode_admission(memoryview(data)[consumed:])
+            if isinstance(section, RetiredExactSection):
+                admission, held = None, section.held
+            else:
+                admission = AdmissionController.from_image(section)
+        engine = cls.from_image(
             image,
             lb_detector=lb_detector,
             lb_patience=lb_patience,
             admission=admission,
         )
+        for version, groups in held.items():
+            engine._apply_groups_direct(engine.trees[version], groups)
+        return engine
 
     # ------------------------------------------------------------------ stage 1
 
@@ -286,7 +299,7 @@ class IPD:
         shift = tree.root.prefix.bits - params.cidr_max(batch.version)
         count_bytes = params.count_bytes
 
-        # pass 0 (lossy admission only): the vectorized pre-gate drops
+        # pass 0 (admission only): the vectorized pre-gate drops
         # never-promoted mice on the raw columns, before any per-flow
         # Python work; accounting below still covers the full batch
         original = batch
@@ -325,7 +338,12 @@ class IPD:
 
         # pass 2: one leaf resolution + one state fold per distinct source
         if groups:
-            self._apply_groups(tree, groups)
+            self._apply_groups(
+                tree,
+                groups,
+                len(batch.timestamps),
+                ((src >> shift) << shift for src in batch.src_ips),
+            )
 
         self.flows_ingested += count
         self.bytes_ingested += sum(original.byte_counts)
@@ -335,19 +353,27 @@ class IPD:
                 observe(flow)
         return count
 
-    def _apply_groups(self, tree: RangeTree, groups: dict[int, list]) -> None:
+    def _apply_groups(
+        self,
+        tree: RangeTree,
+        groups: dict[int, list],
+        flows: "int | None" = None,
+        rows: Iterable[int] = (),
+    ) -> None:
         """Fold accumulated per-source groups into their covering leaves.
 
         This is the admission seam: with a controller attached the
         groups first pass its admit → promote → count gate and only the
         admitted subset reaches the trie; without one this is a direct
-        alias for the classic fold.
+        alias for the classic fold.  *flows* and *rows* (the masked
+        source of each flow behind the groups; default one flow per
+        group) feed the gate's per-flow counters.
         """
         admission = self.admission
         if admission is None:
             self._apply_groups_direct(tree, groups)
             return
-        admitted = admission.filter_groups(tree.version, groups)
+        admitted = admission.filter_groups(tree.version, groups, flows, rows)
         if admitted:
             self._apply_admitted(tree, admitted, admission)
 
@@ -427,6 +453,11 @@ class IPD:
         groups_by_version: dict[int, dict[int, list]] = {
             version: {} for version in trees
         }
+        # with admission on, the masked source of every pending flow, so
+        # the gate can count dropped groups in flows
+        rows_by_version: "dict[int, list[int]] | None" = (
+            None if self.admission is None else {version: [] for version in trees}
+        )
         count = 0
         pending = 0
         total_bytes = 0
@@ -451,45 +482,45 @@ class IPD:
                     group[1] = timestamp
                 elif timestamp < group[2]:
                     group[2] = timestamp
+            if rows_by_version is not None:
+                rows_by_version[version].append(masked)
             total_bytes += flow.bytes
             count += 1
             pending += 1
             if lb_detector is not None:
                 lb_detector.observe(flow)
             if pending >= _INGEST_CHUNK:
-                for version, groups in groups_by_version.items():
-                    if groups:
-                        self._apply_groups(trees[version], groups)
+                self._apply_chunk(groups_by_version, rows_by_version)
                 # amortized: rebuilt once per _INGEST_CHUNK flows, and the
                 # consumed group dicts must not be reused across chunks
                 groups_by_version = {version: {} for version in trees}  # ipd-lint: disable=IPD005
                 pending = 0
-        for version, groups in groups_by_version.items():
-            if groups:
-                self._apply_groups(trees[version], groups)
+        self._apply_chunk(groups_by_version, rows_by_version)
         self.flows_ingested += count
         self.bytes_ingested += total_bytes
         return count
 
-    # ------------------------------------------------------------------ stage 2
+    def _apply_chunk(
+        self,
+        groups_by_version: dict[int, dict[int, list]],
+        rows_by_version: "dict[int, list[int]] | None",
+    ) -> None:
+        """Fold one :meth:`ingest_many` chunk, family by family.
 
-    def flush_held(self) -> None:
-        """Replay all held-back groups into the trie (exact mode).
-
-        Called before every sweep and snapshot so that whenever state
-        becomes observable, the trie has seen exactly the samples an
-        admission-off engine would have — the byte-identity contract of
-        ``exact`` mode.  Replayed groups bypass the admission gate (they
-        were already decided) but mark dirty/expiry exactly as a direct
-        ingest would have.
+        The row lists are emptied for the next chunk; the group dicts
+        are not reusable (the trie keeps their per-ingress dicts).
         """
-        admission = self.admission
-        if admission is None or not admission.has_held():
-            return
-        for tree in self.trees.values():
-            held = admission.drain_held(tree.version)
-            if held:
-                self._apply_groups_direct(tree, held)
+        for version, groups in groups_by_version.items():
+            if not groups:
+                continue
+            if rows_by_version is None:
+                self._apply_groups(self.trees[version], groups)
+            else:
+                rows = rows_by_version[version]
+                self._apply_groups(self.trees[version], groups, len(rows), rows)
+                rows.clear()
+
+    # ------------------------------------------------------------------ stage 2
 
     def saturate_admission(self) -> None:
         """Force the admission sketch to its ceiling (fault injection).
@@ -506,14 +537,11 @@ class IPD:
         """Run one Stage-2 pass over the active ranges (Algorithm 1, lines 5-19)."""
         started = time.perf_counter()
         admission = self.admission
-        if admission is not None:
-            admission.age_to(now)
-            self.flush_held()
         report = SweepReport(timestamp=now)
         if admission is not None:
+            admission.age_to(now)
             (
                 report.admission_admitted,
-                report.admission_held,
                 report.admission_dropped,
                 report.admission_promoted,
             ) = admission.take_counters()
@@ -729,7 +757,6 @@ class IPD:
         self, now: float, include_unclassified: bool = False
     ) -> list[IPDRecord]:
         """Emit the current mapping in the Table-3 raw output format."""
-        self.flush_held()
         params = self.params
         records: list[IPDRecord] = []
         for tree in self.trees.values():

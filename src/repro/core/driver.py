@@ -8,7 +8,7 @@ The replay and deployment loops moved to :mod:`repro.runtime`:
   (sweeps at ``t``-second boundaries of the trace clock, snapshots every
   ``snapshot_seconds``).  New code should construct a ``Pipeline``
   directly; it adds address-space sharding (``shards=N``) and a choice
-  of executors (``serial`` / ``threaded`` / ``mp``).
+  of executors (``serial`` / ``mp``).
 * :class:`ThreadedIPD` is a deprecated alias of
   :class:`~repro.runtime.live.LivePipeline`, the deployment's two-thread
   layout (§3.2, §5.7).  It additionally gained the queue-drain guarantee

@@ -155,7 +155,7 @@ class FlowBatch:
         The selected batch re-references the same timestamp/ingress/…
         objects (only fresh column lists are allocated); selecting every
         row returns ``self`` unchanged.  Shard routing and the admission
-        front-end's admitted/held split are both built on this.
+        front-end's prefilter are both built on this.
         """
         count = len(rows)
         if count == len(self.timestamps):

@@ -9,7 +9,7 @@ One execution surface for every way of running IPD:
 * :class:`~repro.runtime.sharding.ShardedIPD` — the shard coordinator
   itself, usable directly wherever an :class:`~repro.core.algorithm.IPD`
   is expected.
-* executors (``serial`` / ``threaded`` / ``mp``) — interchangeable
+* executors (``serial`` / ``mp``) — interchangeable
   backends driving the shard engines.  The mp executor's data plane is
   selectable: ``transport="pickle"`` (pipes) or ``transport="shm"``
   (zero-copy shared-memory rings, :mod:`repro.runtime.shmring`).
@@ -30,7 +30,6 @@ from .executors import (
     TRANSPORT_KINDS,
     MultiprocessExecutor,
     SerialExecutor,
-    ThreadedExecutor,
     WorkerCrashError,
     make_executor,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "CSVSink",
     "ServiceSink",
     "SerialExecutor",
-    "ThreadedExecutor",
     "MultiprocessExecutor",
     "WorkerCrashError",
     "make_executor",

@@ -3,15 +3,11 @@
 The coordinator (:class:`~repro.runtime.sharding.ShardedIPD`) speaks one
 small protocol — ``feed`` batches to a shard, ``tick`` all shards,
 ``apply`` seed/reset ops, ``snapshot``, ``metrics``, ``close`` — and the
-three executors implement it with different parallelism:
+two executors implement it with different parallelism:
 
 * :class:`SerialExecutor` — everything in the calling thread, fully
   deterministic; the reference implementation the equivalence suite
-  pins the others against.
-* :class:`ThreadedExecutor` — one worker thread per slot, command
-  queues in, reply queues out.  Threads share the interpreter (GIL), so
-  this buys overlap with I/O and with the aggregator's own sweep, not
-  raw ingest parallelism; it supersedes the old ``ThreadedIPD`` layout.
+  pins the other against.
 * :class:`MultiprocessExecutor` — one worker process per slot.  The
   control plane (tick/snapshot/metrics/export and their replies) is a
   duplex pipe; the data plane is selected by ``transport``:
@@ -35,8 +31,8 @@ paths that are already dominated by queue/pipe traffic, so production
 behaviour is unchanged.
 
 Shard *index* → worker *slot* is a fixed ``index % workers`` mapping,
-and each worker handles its commands strictly in order (FIFO per pipe /
-queue), so no acknowledgement round-trips are needed for ``feed`` and
+and each worker handles its commands strictly in order (FIFO per pipe),
+so no acknowledgement round-trips are needed for ``feed`` and
 ``apply``: a later ``tick``/``snapshot``/``metrics`` reply implies every
 earlier command was applied.  Tick replies are a barrier; state
 evolution is therefore identical across executors — only wall-clock
@@ -48,9 +44,7 @@ drains up to before executing the command.
 
 from __future__ import annotations
 
-import queue
 import struct
-import threading
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 if TYPE_CHECKING:
@@ -67,7 +61,6 @@ from .shmring import FRAME_FEED, FRAME_OPS, ShmRing, ShmRingError
 
 __all__ = [
     "SerialExecutor",
-    "ThreadedExecutor",
     "MultiprocessExecutor",
     "WorkerCrashError",
     "make_executor",
@@ -75,7 +68,7 @@ __all__ = [
     "TRANSPORT_KINDS",
 ]
 
-EXECUTOR_KINDS = ("serial", "threaded", "mp")
+EXECUTOR_KINDS = ("serial", "mp")
 TRANSPORT_KINDS = ("pickle", "shm")
 
 #: ring bytes per worker slot; a single frame (one encoded batch or one
@@ -115,9 +108,9 @@ class WorkerCrashError(RuntimeError):
 class ShardWorker:
     """The engines owned by one worker slot, plus the command dispatcher.
 
-    Shared verbatim by all three executors: the serial executor calls
-    :meth:`handle` inline, the threaded executor from a worker thread,
-    the multiprocessing executor inside a worker process.
+    Shared verbatim by both executors: the serial executor calls
+    :meth:`handle` inline, the multiprocessing executor inside a worker
+    process.
     """
 
     def __init__(
@@ -230,128 +223,6 @@ class SerialExecutor:
 
     def close(self) -> None:
         pass
-
-
-class ThreadedExecutor:
-    """One worker thread per slot; queues in, reply queues out."""
-
-    kind = "threaded"
-
-    def __init__(
-        self,
-        params: IPDParams,
-        depth: int,
-        workers: int = 2,
-        admission: Optional[AdmissionConfig] = None,
-    ) -> None:
-        self.workers = max(1, workers)
-        self._commands: list[queue.SimpleQueue] = []
-        self._replies: list[queue.SimpleQueue] = []
-        self._threads: list[threading.Thread] = []
-        for slot in range(self.workers):
-            commands: queue.SimpleQueue = queue.SimpleQueue()
-            replies: queue.SimpleQueue = queue.SimpleQueue()
-            thread = threading.Thread(
-                target=_thread_worker_loop,
-                args=(params, depth, admission, commands, replies),
-                name=f"ipd-shard-{slot}",
-                daemon=True,
-            )
-            thread.start()
-            self._commands.append(commands)
-            self._replies.append(replies)
-            self._threads.append(thread)
-        self._closed = False
-        self.fault_hook: Optional[FaultHookLike] = None
-
-    def _slot(self, index: int) -> int:
-        return index % self.workers
-
-    def feed(self, index: int, batch: FlowBatch) -> None:
-        if self.fault_hook is not None:
-            action = self.fault_hook.on_feed(index, batch)
-            if action == "drop":
-                return
-            if action == "duplicate":
-                self._commands[self._slot(index)].put(("feed", index, batch))
-        self._commands[self._slot(index)].put(("feed", index, batch))
-
-    def apply(self, ops: Iterable[tuple]) -> None:
-        by_slot: dict[int, list[tuple]] = {}
-        for op in ops:
-            by_slot.setdefault(self._slot(op[1]), []).append(op)
-        for slot, slot_ops in by_slot.items():
-            self._commands[slot].put(("ops", slot_ops))
-
-    def tick_begin(self, now: float) -> None:
-        if self.fault_hook is not None:
-            self.fault_hook.before_tick(self, now)
-        for commands in self._commands:
-            commands.put(("tick", now))
-
-    def tick_collect(self) -> dict[int, ShardTickResult]:
-        results: dict[int, ShardTickResult] = {}
-        for replies in self._replies:
-            results.update(replies.get())
-        return results
-
-    def snapshot(self, now: float, include_unclassified: bool) -> list[IPDRecord]:
-        for commands in self._commands:
-            commands.put(("snapshot", now, include_unclassified))
-        records: list[IPDRecord] = []
-        for replies in self._replies:
-            records.extend(replies.get())
-        return records
-
-    def metrics(self) -> ShardMetrics:
-        for commands in self._commands:
-            commands.put(("metrics",))
-        metrics = ShardMetrics()
-        for replies in self._replies:
-            metrics.add(replies.get())
-        return metrics
-
-    def export(self) -> dict[int, dict[int, bytes]]:
-        for commands in self._commands:
-            commands.put(("export",))
-        exports: dict[int, dict[int, bytes]] = {}
-        for replies in self._replies:
-            exports.update(replies.get())
-        return exports
-
-    def admission_export(self) -> dict[int, Optional[AdmissionImage]]:
-        for commands in self._commands:
-            commands.put(("admission_export",))
-        images: dict[int, Optional[AdmissionImage]] = {}
-        for replies in self._replies:
-            images.update(replies.get())
-        return images
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for commands in self._commands:
-            commands.put(("stop",))
-        for thread in self._threads:
-            thread.join(timeout=10.0)
-
-
-def _thread_worker_loop(
-    params: IPDParams,
-    depth: int,
-    admission: Optional[AdmissionConfig],
-    commands: queue.SimpleQueue,
-    replies: queue.SimpleQueue,
-) -> None:
-    worker = ShardWorker(params, depth, admission=admission)
-    while True:
-        cmd = commands.get()
-        if cmd[0] == "stop":
-            return
-        reply = worker.handle(cmd)
-        if reply is not None:
-            replies.put(reply)
 
 
 def _mp_worker_main(
@@ -713,8 +584,8 @@ def make_executor(
     workers: Optional[int] = None,
     transport: str = "pickle",
     admission: Optional[AdmissionConfig] = None,
-) -> "Union[SerialExecutor, ThreadedExecutor, MultiprocessExecutor]":
-    """Build an executor by name (``serial`` / ``threaded`` / ``mp``)."""
+) -> "Union[SerialExecutor, MultiprocessExecutor]":
+    """Build an executor by name (``serial`` / ``mp``)."""
     if transport not in TRANSPORT_KINDS:
         raise ValueError(
             f"unknown transport {transport!r}; expected one of "
@@ -726,8 +597,6 @@ def make_executor(
         )
     if kind == "serial":
         return SerialExecutor(params, depth, admission=admission)
-    if kind == "threaded":
-        return ThreadedExecutor(params, depth, workers or 2, admission=admission)
     if kind == "mp":
         if workers is None:
             import os

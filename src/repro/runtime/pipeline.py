@@ -9,7 +9,7 @@ is now a thin façade over it) across engine shapes:
   exact seed behaviour.
 * anything else — a :class:`~repro.runtime.sharding.ShardedIPD`
   coordinator routing flows over ``shards`` address-space shards driven
-  by the chosen executor (``serial`` / ``threaded`` / ``mp``).  Merged
+  by the chosen executor (``serial`` / ``mp``).  Merged
   snapshots are byte-identical to the single-engine ones by design (the
   equivalence suite in ``tests/runtime`` pins this).
 

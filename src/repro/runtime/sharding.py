@@ -41,13 +41,13 @@ supported in sharded mode — attach it to a plain :class:`IPD`.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Iterable, Optional
 
 from ..core.admission import (
     AdmissionConfig,
     AdmissionController,
     AdmissionImage,
+    RetiredExactSection,
     decode_admission,
     encode_admission,
     merge_admission_images,
@@ -381,7 +381,6 @@ class ShardedIPD:
             report.cache_misses += part.cache_misses
             report.cache_evictions += part.cache_evictions
             report.admission_admitted += part.admission_admitted
-            report.admission_held += part.admission_held
             report.admission_dropped += part.admission_dropped
             report.admission_promoted += part.admission_promoted
             report.admission_saturated = (
@@ -434,39 +433,11 @@ class ShardedIPD:
         Sketch counts, the elephant herd, the age boundary and the
         saturation flag are broadcast whole — a shard seeing the full
         deployment's counts can only over-admit, which is always safe.
-        Held groups (exact mode) are routed like flows: a masked source
-        whose top-``k`` bits are delegated goes to that shard, anything
-        else to the aggregator, so each engine replays exactly the
-        groups it would have been holding.
         """
-        aggregator_held: dict[int, dict[int, list]] = {}
-        shard_held: dict[int, dict[int, dict[int, list]]] = {}
-        for version, groups in image.held.items():
-            shift = self._shifts[version]
-            delegated = self._delegated[version]
-            for masked, group in groups.items():
-                index = masked >> shift
-                if index in delegated:
-                    shard_held.setdefault(index, {}).setdefault(
-                        version, {}
-                    )[masked] = group
-                else:
-                    aggregator_held.setdefault(version, {})[masked] = group
-        self.aggregator.admission = AdmissionController.from_image(
-            replace(image, held=aggregator_held)
-        )
+        self.aggregator.admission = AdmissionController.from_image(image)
+        payload = encode_admission(image)
         self._executor.apply(
-            [
-                (
-                    "admission",
-                    index,
-                    0,
-                    encode_admission(
-                        replace(image, held=shard_held.get(index, {}))
-                    ),
-                )
-                for index in range(self.shards)
-            ]
+            [("admission", index, 0, payload) for index in range(self.shards)]
         )
 
     # ------------------------------------------------------------------ state io
@@ -514,9 +485,9 @@ class ShardedIPD:
         """Serialize the merged deployment state to one engine blob.
 
         With admission on, the merged admission section (cellwise-summed
-        sketches, elephant union, all held groups) is appended after the
-        engine section, exactly as :meth:`IPD.to_bytes` appends its own
-        controller's — so the blob restores on any topology.
+        sketches, elephant union) is appended after the engine section,
+        exactly as :meth:`IPD.to_bytes` appends its own controller's —
+        so the blob restores on any topology.
         """
         blob = encode_engine(self.to_image())
         merged = self._admission_image()
@@ -621,13 +592,20 @@ class ShardedIPD:
         (its embedded config wins over the *admission* argument); a
         bare engine blob plus an *admission* config starts a fresh
         front-end, which is how ``--admission`` is enabled across a
-        resume from an admission-off checkpoint.
+        resume from an admission-off checkpoint.  A version-1 section of
+        the retired ``exact`` mode restores admission off, with its held
+        groups folded into the trie (:meth:`IPD.from_bytes`).
         """
         image, consumed = decode_engine_span(data, params=params)
         admission_image: Optional[AdmissionImage] = None
         if consumed < len(data):
-            admission_image = decode_admission(memoryview(data)[consumed:])
-            admission = admission_image.config()
+            section = decode_admission(memoryview(data)[consumed:])
+            if isinstance(section, RetiredExactSection):
+                image = IPD.from_bytes(data, params=params).to_image()
+                admission = None
+            else:
+                admission_image = section
+                admission = section.config()
         engine = cls.from_image(
             image,
             shards=shards,

@@ -10,9 +10,8 @@ observation state down (a ``seed`` op) and deactivates it when a
 cross-boundary join or prune pulls the range back up (a ``reset`` op).
 
 Everything in this module is executor-agnostic: the serial executor
-calls it in-process, the threaded executor from worker threads, and the
-multiprocessing executor inside worker processes (all types here are
-picklable for that reason).
+calls it in-process and the multiprocessing executor inside worker
+processes (all types here are picklable for that reason).
 """
 
 from __future__ import annotations
@@ -156,9 +155,10 @@ class ShardEngine:
         elif kind == "reset":
             self.reset(op[2])
         elif kind == "admission":
-            self.ipd.admission = AdmissionController.from_image(
-                decode_admission(op[3])
-            )
+            section = decode_admission(op[3])
+            # the coordinator only ships sections it encoded itself
+            assert isinstance(section, AdmissionImage)
+            self.ipd.admission = AdmissionController.from_image(section)
         elif kind == "saturate":
             self.ipd.saturate_admission()
         else:  # pragma: no cover - defensive

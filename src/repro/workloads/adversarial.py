@@ -6,7 +6,7 @@ never test (DESIGN.md §15):
 * **Spoofed-source floods** — uniform-random or subnet-concentrated
   source spraying layered over a benign baseline with a linear ramp.
   Measures IPD state blow-up, classification pollution of benign
-  ranges, and ingest throughput with admission off/exact/lossy; this is
+  ranges, and ingest throughput with admission off/lossy; this is
   the workload the sketch-gated admission front-end exists for.
 * **Traffic policing** — token-bucket rate enforcement clips elephant
   flows mid-trace (:class:`~repro.workloads.events.PolicingEvent`).

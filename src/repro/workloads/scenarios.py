@@ -149,8 +149,8 @@ class Scenario:
         an empty list.  ``shards`` / ``executor`` / ``workers`` select
         the runtime topology — results are identical for every choice,
         only throughput changes.  ``admission`` attaches the sketch-gated
-        front-end; ``exact`` mode keeps results identical too, ``lossy``
-        trades never-promoted mice for ingest throughput.
+        front-end, which trades never-promoted mice for ingest
+        throughput.
         """
         with Pipeline(
             self.params,

@@ -330,10 +330,11 @@ class TestSketchSaturate:
 
     The degradation contract: a saturated controller admits everything
     from that point on — it may never *drop* (or hold) another group,
-    elephant or mouse.  In exact mode saturation is therefore invisible
-    in the output; in lossy mode flows dropped *before* the saturation
+    elephant or mouse.  For a gate that drops nothing (promote every
+    source on first sight) saturation is therefore invisible in the
+    output; for a real lossy gate flows dropped *before* the saturation
     point are legitimately gone, but every sweep after it must report
-    zero drops and zero holdback.
+    zero drops.
     """
 
     def gated_run(self, admission, plan, shards=1, presaturate=False):
@@ -358,11 +359,12 @@ class TestSketchSaturate:
 
     @pytest.mark.parametrize("shards", [1, 4])
     def test_exact_saturation_is_invisible(self, shards):
+        """A gate that drops nothing stays byte-exact through saturation."""
         from repro.core.admission import AdmissionConfig
 
         plan = FaultPlan([Fault("sketch_saturate", at=5)])
         result, final = self.gated_run(
-            AdmissionConfig(mode="exact"), plan, shards=shards
+            AdmissionConfig(promote_weight=1.0), plan, shards=shards
         )
         assert ("sketch_saturate", 5) in plan.fired
         assert any(s.admission_saturated for s in result.sweeps)
@@ -375,26 +377,25 @@ class TestSketchSaturate:
         from repro.core.admission import AdmissionConfig
 
         result, final = self.gated_run(
-            AdmissionConfig(mode="lossy"), FaultPlan(),
+            AdmissionConfig(), FaultPlan(),
             shards=shards, presaturate=True,
         )
         assert all(s.admission_dropped == 0 for s in result.sweeps)
         assert_oracle_equivalent(result, final, fig05_trace, FIG05_PARAMS)
 
     def test_lossy_midrun_saturation_stops_all_drops(self):
-        """After the fault fires, no sweep may drop or hold anything —
+        """After the fault fires, no sweep may drop anything —
         the gate degrades to admit-everything, never drop-an-elephant."""
         from repro.core.admission import AdmissionConfig
 
         fire_at = 4
         plan = FaultPlan([Fault("sketch_saturate", at=fire_at)])
-        result, __ = self.gated_run(AdmissionConfig(mode="lossy"), plan)
+        result, __ = self.gated_run(AdmissionConfig(), plan)
         assert ("sketch_saturate", fire_at) in plan.fired
         saturated = [s.admission_saturated for s in result.sweeps]
         assert not saturated[fire_at - 1] and all(saturated[fire_at:])
         for report in result.sweeps[fire_at:]:
             assert report.admission_dropped == 0
-            assert report.admission_held == 0
 
     def test_site_is_noop_without_admission(self, tmp_path):
         plan = FaultPlan([Fault("sketch_saturate", at=3)])
@@ -411,7 +412,7 @@ class TestFloodSaturation:
     The nastiest timing for the fault: the gate is mid-flood, holding
     back a six-figure spoofed herd, when the sketch saturates.  The
     degradation contract must hold under real attack volume — after the
-    fault no sweep drops or holds anything, every spoofed flow floods
+    fault no sweep drops anything, every spoofed flow floods
     into the trie, and the run still completes with the flood state
     expiring on schedule.
     """
@@ -434,9 +435,7 @@ class TestFloodSaturation:
         start = scenario.traffic_config.start_time
         fire_at = int((truth.attack_window[0] - start) // params.t) + 2
         plan = FaultPlan([Fault("sketch_saturate", at=fire_at)])
-        admission = AdmissionConfig.for_cardinality(
-            truth.expected_sources, mode="lossy"
-        )
+        admission = AdmissionConfig.for_cardinality(truth.expected_sources)
         with Pipeline(
             params,
             snapshot_seconds=300.0,
@@ -452,8 +451,7 @@ class TestFloodSaturation:
         assert any(
             s.admission_dropped > 0 for s in result.sweeps[: fire_at + 1]
         )
-        # ...after it, admit-everything: no drop, no holdback, ever
+        # ...after it, admit-everything: no drop, ever
         for report in result.sweeps[fire_at + 1:]:
             assert report.admission_dropped == 0
-            assert report.admission_held == 0
         assert result.flows_processed > 0

@@ -1,10 +1,13 @@
 """The admission front-end in isolation: sketch, gate, codec, aging.
 
-The integration contracts (exact ≡ off byte-identity through every
-runtime topology, saturation chaos) live in
+The integration contracts (promote-all lossy ≡ off byte-identity
+through every runtime topology, saturation chaos, version-1 blobs) live in
 ``tests/runtime/test_admission_equivalence.py`` and ``tests/chaos``;
 this suite pins the controller's own semantics.
 """
+
+import random
+from array import array
 
 import pytest
 
@@ -30,10 +33,6 @@ def group(weight=1.0, ingress=A, newest=10.0, oldest=10.0):
 
 
 class TestConfigValidation:
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="admission mode"):
-            AdmissionConfig(mode="fuzzy")
-
     @pytest.mark.parametrize("kwargs", [
         {"width": 0},
         {"depth": 0},
@@ -48,8 +47,8 @@ class TestConfigValidation:
             AdmissionConfig(**kwargs)
 
     def test_off_is_not_a_controller_mode(self):
-        # "off" means no controller at all; the config never models it
-        with pytest.raises(ValueError):
+        # "off" means no controller at all; the config has no mode field
+        with pytest.raises(TypeError):
             AdmissionConfig(mode="off")
 
 
@@ -93,15 +92,11 @@ class TestAutoSketchWidth:
 
     def test_for_cardinality_autosizes(self):
         config = AdmissionConfig.for_cardinality(100_000)
-        assert config.mode == "lossy"
         assert config.width == 1 << 18
 
     def test_for_cardinality_explicit_width_wins(self):
         config = AdmissionConfig.for_cardinality(100_000, width=1 << 15)
         assert config.width == 1 << 15
-
-    def test_for_cardinality_passes_mode_through(self):
-        assert AdmissionConfig.for_cardinality(10, mode="exact").mode == "exact"
 
 
 class TestCountMinSketch:
@@ -144,6 +139,23 @@ class TestCountMinSketch:
         assert sketch.estimate(2) == 0.0
         assert sketch.fill < fill_before
 
+    def test_halve_matches_scalar_reference(self):
+        rng = random.Random(13)
+        sketch = CountMinSketch(256, 4, seed=3)
+        for index in range(len(sketch.cells)):
+            roll = rng.random()
+            if roll < 0.3:
+                sketch.cells[index] = float(rng.randint(1, 9))
+            elif roll < 0.6:
+                sketch.cells[index] = rng.uniform(0.0, 3.0)
+        expected = array("d", sketch.cells)
+        for index, value in enumerate(expected):
+            value *= 0.5
+            expected[index] = 0.0 if value < 0.5 else value
+        sketch.halve()
+        assert sketch.cells.tobytes() == expected.tobytes()
+        assert sketch.fill == sum(1 for value in expected if value != 0.0)
+
     def test_sparse_roundtrip(self):
         sketch = CountMinSketch(128, 3, seed=5)
         for key in range(50):
@@ -177,27 +189,14 @@ class TestCountMinSketch:
 
 
 class TestFilterGroups:
-    def config(self, mode="exact", **kwargs):
+    def config(self, **kwargs):
         kwargs.setdefault("promote_weight", 4.0)
-        return AdmissionConfig(mode=mode, **kwargs)
-
-    def test_exact_holds_mice_until_promoted(self):
-        controller = AdmissionController(self.config())
-        for _ in range(3):
-            admitted = controller.filter_groups(IPV4, {1600: group(1.0)})
-            assert admitted == {}
-        # fourth observation crosses promote_weight=4.0
-        admitted = controller.filter_groups(IPV4, {1600: group(1.0)})
-        assert 1600 in admitted
-        # the held history was folded into the admitted group
-        assert admitted[1600][0][A] == 4.0
-        assert not controller.has_held()
+        return AdmissionConfig(**kwargs)
 
     def test_lossy_drops_mice_but_keeps_counts(self):
-        controller = AdmissionController(self.config(mode="lossy"))
+        controller = AdmissionController(self.config())
         for _ in range(3):
             assert controller.filter_groups(IPV4, {1600: group(1.0)}) == {}
-        assert not controller.has_held()
         admitted = controller.filter_groups(IPV4, {1600: group(1.0)})
         assert 1600 in admitted
         # dropped history is gone: only the promoting observation lands
@@ -214,20 +213,38 @@ class TestFilterGroups:
     def test_counters_drain(self):
         controller = AdmissionController(self.config())
         controller.filter_groups(IPV4, {16: group(1.0), 32: group(9.0)})
-        assert controller.take_counters() == (1, 1, 0, 1)
-        assert controller.take_counters() == (0, 0, 0, 0)
+        # (admitted flows, dropped flows, promoted sources)
+        assert controller.take_counters() == (1, 1, 1)
+        assert controller.take_counters() == (0, 0, 0)
 
-    def test_saturation_admits_everything_with_held_history(self):
+    def test_counters_are_in_flows(self):
         controller = AdmissionController(self.config())
-        controller.filter_groups(IPV4, {1600: group(1.0)})  # held
+        groups = {16: group(2.0), 32: group(5.0)}
+        rows = [16, 32, 32, 16, 32, 32, 32]
+        controller.filter_groups(IPV4, groups, len(rows), rows)
+        assert controller.take_counters() == (5, 2, 1)
+
+    def test_all_admitted_never_walks_rows(self):
+        controller = AdmissionController(self.config())
+        controller.elephants(IPV4).add(16)
+
+        def rows():
+            raise AssertionError("rows walked although nothing was dropped")
+            yield  # pragma: no cover
+
+        controller.filter_groups(IPV4, {16: group(1.0)}, 3, rows())
+        assert controller.take_counters() == (3, 0, 0)
+
+    def test_saturation_admits_everything(self):
+        controller = AdmissionController(self.config())
         controller.saturate()
-        admitted = controller.filter_groups(IPV4, {1600: group(1.0)})
-        assert admitted[1600][0][A] == 2.0  # held sample folded back in
-        assert not controller.has_held()
+        groups = {1600: group(1.0), 3200: group(1.0)}
+        assert controller.filter_groups(IPV4, groups) == groups
+        assert controller.take_counters() == (2, 0, 0)
 
     def test_fill_ratio_saturation_degrades(self):
         config = AdmissionConfig(
-            mode="lossy", width=4, depth=1, max_fill=0.5, promote_weight=100.0
+            width=4, depth=1, max_fill=0.5, promote_weight=100.0
         )
         controller = AdmissionController(config)
         for key in range(64):
@@ -247,13 +264,8 @@ class TestPrefilterRows:
     """The vectorized lossy gate must agree with the per-group path."""
 
     def config(self, **kwargs):
-        kwargs.setdefault("mode", "lossy")
         kwargs.setdefault("promote_weight", 4.0)
         return AdmissionConfig(**kwargs)
-
-    def test_exact_mode_declines(self):
-        controller = AdmissionController(self.config(mode="exact"))
-        assert controller.prefilter_rows(IPV4, 4, [16, 32]) is None
 
     def test_wide_shift_declines(self):
         controller = AdmissionController(self.config())
@@ -327,7 +339,7 @@ class TestPrefilterRows:
 class TestAging:
     def test_age_to_halves_per_boundary(self):
         controller = AdmissionController(
-            AdmissionConfig(mode="lossy", age_seconds=60.0)
+            AdmissionConfig(age_seconds=60.0)
         )
         controller.sketch(IPV4).add(16, 8.0)
         assert controller.age_to(30.0) == 0  # same interval
@@ -336,7 +348,7 @@ class TestAging:
 
     def test_age_to_never_rewinds(self):
         controller = AdmissionController(
-            AdmissionConfig(mode="lossy", age_seconds=60.0)
+            AdmissionConfig(age_seconds=60.0)
         )
         controller.sketch(IPV4).add(16, 8.0)
         controller.age_to(150.0)
@@ -345,7 +357,7 @@ class TestAging:
 
     def test_long_idle_clears_outright(self):
         controller = AdmissionController(
-            AdmissionConfig(mode="lossy", age_seconds=1.0)
+            AdmissionConfig(age_seconds=1.0)
         )
         controller.age_to(0.0)
         controller.sketch(IPV4).add(16, 1e9)
@@ -356,7 +368,7 @@ class TestAging:
 class TestCodec:
     def build_controller(self):
         controller = AdmissionController(
-            AdmissionConfig(mode="exact", promote_weight=4.0, seed=99)
+            AdmissionConfig(promote_weight=4.0, seed=99)
         )
         controller.filter_groups(IPV4, {1600: group(10.0)})  # elephant
         controller.filter_groups(IPV4, {3200: group(1.0, B, 20.0, 15.0)})
@@ -376,10 +388,6 @@ class TestCodec:
             list(restored.sketch(IPV4).cells)
             == list(controller.sketch(IPV4).cells)
         )
-        held = restored.held(IPV4)
-        assert held[3200][0][B] == 1.0
-        assert held[3200][1] == 20.0
-        assert held[3200][2] == 15.0
         assert restored._age_boundary == controller._age_boundary
 
     def test_saturated_flag_survives(self):
@@ -408,8 +416,8 @@ class TestCodec:
             decode_admission(b"NOPE" + bytes(32))
 
     def test_merge_images_cellwise(self):
-        shard_a = AdmissionController(AdmissionConfig(mode="exact"))
-        shard_b = AdmissionController(AdmissionConfig(mode="exact"))
+        shard_a = AdmissionController(AdmissionConfig())
+        shard_b = AdmissionController(AdmissionConfig())
         shard_a.filter_groups(IPV4, {1600: group(10.0)})
         shard_b.filter_groups(IPV4, {3200: group(1.0)})
         merged = merge_admission_images(
@@ -419,7 +427,6 @@ class TestCodec:
         restored = AdmissionController.from_image(merged)
         assert restored.elephants(IPV4) == {1600}
         assert restored.sketch(IPV4).estimate(3200) >= 1.0
-        assert 3200 in restored.held(IPV4)
 
     def test_merge_of_nothing_is_none(self):
         assert merge_admission_images([None, None]) is None

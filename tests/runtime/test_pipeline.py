@@ -76,7 +76,7 @@ class TestPipeline:
         assert len(seen) == 4
 
     def test_context_manager_closes_engine(self):
-        with Pipeline(params(), shards=4, executor="threaded") as pipeline:
+        with Pipeline(params(), shards=4, executor="mp", workers=1) as pipeline:
             pipeline.run(stream(3))
         # a second close must be harmless
         pipeline.close()
@@ -225,7 +225,7 @@ class TestSinkLifecycle:
 class TestLivePipeline:
     def test_classifies_with_sharded_engine(self):
         runner = LivePipeline(
-            params(), sweep_interval=0.05, shards=4, executor="threaded"
+            params(), sweep_interval=0.05, shards=4, executor="mp", workers=1
         )
         runner.start()
         base = parse_ip("10.0.0.0")[0]

@@ -131,15 +131,7 @@ class TestSerialShardEquivalence:
 
 
 class TestExecutorEquivalence:
-    """The threaded and mp executors replay the serial executor exactly."""
-
-    def test_threaded_executor(self):
-        flows = dualstack_trace()
-        assert_equivalent(
-            reference_run(flows, DUALSTACK_PARAMS),
-            sharded_run(flows, DUALSTACK_PARAMS, 4, executor="threaded",
-                        workers=2),
-        )
+    """The mp executor replays the serial executor exactly."""
 
     def test_mp_executor(self):
         flows = fig05_trace()
@@ -208,6 +200,6 @@ class TestShardedValidation:
             )
 
     def test_close_is_idempotent(self):
-        engine = ShardedIPD(FIG05_PARAMS, shards=4, executor="threaded")
+        engine = ShardedIPD(FIG05_PARAMS, shards=4, executor="mp", workers=1)
         engine.close()
         engine.close()

@@ -150,7 +150,7 @@ def flood_runs():
         flows_per_bucket_peak=600, params=PARAMS,
     )
     truth = scenario.ground_truth
-    lossy = AdmissionConfig.for_cardinality(truth.expected_sources, mode="lossy")
+    lossy = AdmissionConfig.for_cardinality(truth.expected_sources)
     __, attacked = scenario.run(snapshot_seconds=300.0, keep_flows=False)
     __, gated = scenario.run(
         snapshot_seconds=300.0, keep_flows=False, admission=lossy
